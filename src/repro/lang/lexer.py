@@ -1,7 +1,9 @@
 """Tokenizer for the textual IR.
 
 Token kinds: ``NAME`` (identifiers, possibly with a ``.N`` SSA-version
-suffix handled by the parser), ``INT``, punctuation (``( ) { } , : =``) and
+suffix handled by the parser; a hyphen may appear after the first
+character, so workload names such as ``mem-stream`` print and parse
+back), ``INT``, punctuation (``( ) { } , : =``) and
 ``NEWLINE`` markers are not needed — the grammar is entirely
 punctuation-delimited.  ``#`` starts a comment running to end of line.
 """
@@ -33,7 +35,7 @@ _TOKEN_RE = re.compile(
     (?P<WS>[ \t\r\n]+)
   | (?P<COMMENT>\#[^\n]*)
   | (?P<INT>-?\d+)
-  | (?P<NAME>[%A-Za-z_][%A-Za-z_0-9]*(\.\d+)?)
+  | (?P<NAME>[%A-Za-z_][%A-Za-z_0-9-]*(\.\d+)?)
   | (?P<PUNCT>[(){},:=])
     """,
     re.VERBOSE,

@@ -71,8 +71,11 @@ from repro.profiles.profile import ExecutionProfile
 #: both engines, a >=2x counting-event reduction over full counting,
 #: and the profile-quality study (exact vs reconstructed vs sampled vs
 #: stale training profiles -> MC-SSAPRE dynamic-cost optimality delta,
-#: with the reconstructed delta pinned to zero).
-BENCH_SCHEMA_VERSION = 8
+#: with the reconstructed delta pinned to zero).  v9 added the
+#: profiling section's "wall" gate (compiled sparse run <= 1.5x the
+#: full-counting run, interleaved best-of-N, on every CINT/CFP/MEMORY
+#: workload placement accepts) and moved the compiled timings there.
+BENCH_SCHEMA_VERSION = 9
 
 #: Step budget for the measured runs (matches the pipeline default).
 MAX_STEPS = 5_000_000
@@ -406,14 +409,26 @@ def bench_memory(names: tuple[str, ...], repeat: int) -> dict:
 PROFILING_WORKLOADS = CINT2006[:3] + CFP2006[:3] + MEMORY
 QUICK_PROFILING_WORKLOADS = (CINT2006[0], CFP2006[0], MEMORY[0])
 
+#: Workloads of the profiling section's wall-clock gate: every program
+#: of the three suites (those placement refuses are listed, not timed).
+PROFILING_WALL_WORKLOADS = CINT2006 + CFP2006 + MEMORY
+
 #: Counting-event floor: full counting must perform at least this many
 #: times more counter increments than the probe set across the whole
-#: suite.  Events, not wall time — the event ratio is deterministic
-#: (full counting bumps one node and one edge counter per block entry;
-#: a probed run bumps one counter per *probed* block entry) so the gate
-#: cannot flake on a loaded CI machine.  Wall times are recorded per
-#: row but never gated.
+#: suite.  The event ratio is deterministic (full counting bumps one
+#: node and one edge counter per block entry; a probed run bumps one
+#: counter per *probed* block entry); the wall-clock gate below checks
+#: that fewer events also means no slower runs.
 PROFILING_MIN_EVENT_RATIO = 2.0
+
+#: Wall-clock ceiling: a compiled run under probes, reconstruction
+#: included, may take at most this multiple of the same run under full
+#: counting.
+PROFILING_MAX_WALL_RATIO = 1.5
+
+#: Minimum interleaved full/sparse run pairs per workload of the wall
+#: gate (each side keeps its best).
+PROFILING_WALL_ROUNDS = 15
 
 #: Sampling period for the profile-quality study: the "sampled" profile
 #: keeps ``count // period`` for every node and edge, modelling a
@@ -468,14 +483,79 @@ def _sampled_profile(
     )
 
 
-def bench_profiling(names: tuple[str, ...], repeat: int) -> dict:
-    """Minimum-coverage probe placement: coverage, parity, quality.
+def _interleaved_best(rounds: int, first, second) -> tuple[float, float]:
+    """Best wall time of *first* and of *second* over *rounds* pairs of
+    calls, the order alternating each round, so that load on the machine
+    falls on both sides alike and the ratio of the two survives it."""
+    best = [float("inf"), float("inf")]
+    calls = ((0, first), (1, second))
+    for i in range(rounds):
+        for side, fn in calls if i % 2 == 0 else calls[::-1]:
+            t0 = time.perf_counter()
+            fn()
+            best[side] = min(best[side], time.perf_counter() - t0)
+    return best[0], best[1]
+
+
+def bench_profiling_wall(names: tuple[str, ...], repeat: int) -> dict:
+    """Compiled sparse run against the full-counting run, in wall time.
+
+    Per workload: lower the prepared function twice, fully counting and
+    with probes placed under its training profile (as a served artifact
+    is), and time the ref input on each, interleaved, best of
+    ``max(repeat, PROFILING_WALL_ROUNDS)`` per side.  The sparse run
+    includes its flow-conservation reconstruction.  Gate: sparse <=
+    ``PROFILING_MAX_WALL_RATIO`` x full on every workload placement
+    accepts.
+    """
+    rows = []
+    refused = []
+    for name in names:
+        workload = load_workload(name)
+        prepared = prepare(workload.program.func)
+        program_full = compile_function(prepared)
+        train = program_full.run(
+            workload.train_args, max_steps=MAX_STEPS
+        ).profile
+        placement, reason = try_place_probes(prepared, profile=train)
+        if placement is None:
+            refused.append({"name": name, "reason": reason})
+            continue
+        program_sparse = compile_function(prepared, probes=placement)
+        args = workload.ref_args
+        full_s, sparse_s = _interleaved_best(
+            max(repeat, PROFILING_WALL_ROUNDS),
+            lambda: program_full.run(args, max_steps=MAX_STEPS),
+            lambda: program_sparse.run(args, max_steps=MAX_STEPS),
+        )
+        ratio = sparse_s / full_s
+        rows.append({
+            "name": name,
+            "full_s": round(full_s, 6),
+            "sparse_s": round(sparse_s, 6),
+            "ratio": round(ratio, 3),
+            "ok": ratio <= PROFILING_MAX_WALL_RATIO,
+        })
+    return {
+        "workloads": rows,
+        "refused": refused,
+        "max_ratio": PROFILING_MAX_WALL_RATIO,
+        "worst_ratio": max((row["ratio"] for row in rows), default=0.0),
+        "ok": bool(rows) and all(row["ok"] for row in rows),
+    }
+
+
+def bench_profiling(
+    names: tuple[str, ...], repeat: int, wall_names: tuple[str, ...]
+) -> dict:
+    """Minimum-coverage probe placement: coverage, parity, speed, quality.
 
     Per workload: place probes weighted by the training profile, run the
     ref input under full counting and under probes on *both* engines,
     and gate (a) the spanning-tree bound ``probes <= |E| - |V| + 1``,
     (b) bit-identical reconstructed results (:func:`_sparse_mismatches`),
-    (c) the suite-aggregate counting-event ratio.  The quality study
+    (c) the suite-aggregate counting-event ratio, (d) the wall clock
+    over *wall_names* (:func:`bench_profiling_wall`).  The quality study
     then compiles MC-SSAPRE under exact / reconstructed / sampled /
     stale training profiles and measures the dynamic-cost delta on the
     training input; exact reconstruction must cost nothing (delta 0),
@@ -509,14 +589,8 @@ def bench_profiling(names: tuple[str, ...], repeat: int) -> dict:
                     prepared, args, max_steps=MAX_STEPS, probes=placement
                 ),
             )
-            program_full = compile_function(prepared)
             program_sparse = compile_function(prepared, probes=placement)
-            full_compiled_s, _full_compiled = _best_of(
-                repeat, lambda: program_full.run(args, max_steps=MAX_STEPS)
-            )
-            probed_compiled_s, probed_compiled = _best_of(
-                repeat, lambda: program_sparse.run(args, max_steps=MAX_STEPS)
-            )
+            probed_compiled = program_sparse.run(args, max_steps=MAX_STEPS)
             mismatches = sorted(set(
                 _sparse_mismatches(full_ref, probed_ref)
                 + _sparse_mismatches(full_ref, probed_compiled)
@@ -548,8 +622,6 @@ def bench_profiling(names: tuple[str, ...], repeat: int) -> dict:
                 ),
                 "reference_full_s": round(full_ref_s, 6),
                 "reference_probed_s": round(probed_ref_s, 6),
-                "compiled_full_s": round(full_compiled_s, 6),
-                "compiled_probed_s": round(probed_compiled_s, 6),
                 "mismatches": mismatches,
             })
         else:
@@ -591,6 +663,7 @@ def bench_profiling(names: tuple[str, ...], repeat: int) -> dict:
         })
 
     event_ratio = total_full_events / max(total_probe_events, 1)
+    wall = bench_profiling_wall(wall_names, repeat)
     return {
         "workloads": rows,
         "fallbacks": fallbacks,
@@ -603,11 +676,13 @@ def bench_profiling(names: tuple[str, ...], repeat: int) -> dict:
         "sample_period": PROFILING_SAMPLE_PERIOD,
         "quality": quality,
         "quality_ok": quality_ok,
+        "wall": wall,
         "ok": bool(
             bounds_ok
             and equivalent
             and event_ratio >= PROFILING_MIN_EVENT_RATIO
             and quality_ok
+            and wall["ok"]
         ),
     }
 
@@ -1458,6 +1533,9 @@ def run_perf(
     profiling_names = (
         QUICK_PROFILING_WORKLOADS if quick else PROFILING_WORKLOADS
     )
+    wall_names = (
+        QUICK_PROFILING_WORKLOADS if quick else PROFILING_WALL_WORKLOADS
+    )
 
     t0 = time.perf_counter()
     payload = {
@@ -1504,7 +1582,7 @@ def run_perf(
         payload["maxflow"] = maxflow
         ok = ok and maxflow["agreed"]
     if "profiling" in chosen:
-        profiling = bench_profiling(profiling_names, repeat)
+        profiling = bench_profiling(profiling_names, repeat, wall_names)
         payload["profiling"] = profiling
         ok = ok and profiling["ok"]
     payload["ok"] = bool(ok)

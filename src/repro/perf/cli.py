@@ -168,6 +168,10 @@ def main(argv: list[str] | None = None) -> int:
                       f"recon {row['delta_reconstructed']}  "
                       f"sampled {row['delta_sampled']}  "
                       f"stale {row['delta_stale']}")
+            wall = profiling["wall"]
+            print(f"profiling: wall sparse/full worst {wall['worst_ratio']}x "
+                  f"over {len(wall['workloads'])} workloads "
+                  f"(gate {wall['max_ratio']}x, ok={wall['ok']})")
             print(f"profiling: event ratio {profiling['event_ratio']}x "
                   f"(gate {profiling['min_event_ratio']}x), "
                   f"bounds_ok={profiling['bounds_ok']} "

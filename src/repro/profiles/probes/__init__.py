@@ -5,7 +5,8 @@ See ``docs/PROFILING.md`` for the design.  The subsystem has three
 layers, importable piecemeal:
 
 * :mod:`~repro.profiles.probes.flowsys` — the augmented-CFG circulation
-  space and exact rational linear algebra;
+  space, exact rational linear algebra, and the fixed reconstruction
+  map each placement factors once;
 * :mod:`~repro.profiles.probes.placement` — the matroid-greedy minimum
   probe set (minimum-size *and* minimum-cost under a training profile),
   with loud refusal outside the certified envelope;

@@ -22,17 +22,28 @@ chord coordinates:
 A probe at block ``v`` *measures* ``m_v``.  A probe set ``S`` determines
 every block frequency iff every ``m_v`` lies in the row span of
 ``{t} ∪ {m_u : u ∈ S}`` — a rank condition this module decides exactly
-over :class:`fractions.Fraction`, with no numerical slack.  The same
-machinery solves the system at reconstruction time, so a placement
-certified here can never fail to reconstruct on consistent counts.
+over :class:`fractions.Fraction`, with no numerical slack.
 
-CFGs in this code base are small (tens to a few hundred blocks) and the
-chord dimension — branches plus loops plus one — is smaller still, so
-exact rational elimination costs microseconds, not milliseconds.
+Reconstruction is a *fixed* linear map from the measurement vector
+``(t, counts of S)`` to every block count and edge flow: the probe set
+never changes after placement.  :meth:`FlowSystem.factor` therefore
+reduces ``[rows | I]`` once per (CFG shape, probe set), decides there
+everything that does not depend on the counts — which blocks the probes
+leave under-determined, whether every edge flow is pinned down — and
+keeps the map as an integer matrix over one common denominator.  A run's
+:meth:`FlowSystem.solve` is then integer dot products plus the checks
+that must stay loud (consistency, exact division, non-negativity).
+Exact rational elimination is not cheap in Python: redone per run it
+cost about 2 ms a request on 9–134-block CFGs and over 100 ms on a
+442-block one, many times the run it reconstructed.  Factored once, it
+is paid when probes are placed, and applying the map costs tens of
+microseconds.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 #: The virtual outside-world node of the augmented flow graph.  ``None``
@@ -53,110 +64,77 @@ class ReconstructionError(Exception):
     """
 
 
-def _dot(row: tuple[int, ...], vec: list[Fraction]) -> Fraction:
-    total = Fraction(0)
-    for a, b in zip(row, vec):
-        if a:
-            total += a * b
-    return total
+#: A sparse integer row: ``(column, coefficient)`` pairs, zeros omitted.
+SparseRow = tuple[tuple[int, int], ...]
+
+
+def _sparse(row: tuple[int, ...]) -> dict[int, int]:
+    return {j: x for j, x in enumerate(row) if x}
 
 
 class Eliminator:
-    """Incremental exact rank oracle over ℚ^d (row echelon, no pivots kept).
+    """Incremental exact row echelon basis over ℚ^d.
 
     :meth:`add` reduces the incoming row against the stored basis and
     keeps it iff it is independent — the membership test the matroid
-    greedy in :mod:`repro.profiles.probes.placement` is built on.
+    greedy in :mod:`repro.profiles.probes.placement` is built on.  Rows
+    are sparse ``{column: value}`` maps (measurement rows mostly are),
+    so a reduction costs the stored rows' nonzeros, not ``d`` per row.
+    Columns from ``d`` on ride along unpivoted: :meth:`FlowSystem.factor`
+    tracks there which combination of its input rows each row is.
     """
 
     def __init__(self, d: int) -> None:
         self.d = d
-        self._rows: list[list[Fraction]] = []
+        self._rows: list[dict[int, Fraction]] = []
         self._pivots: list[int] = []
 
     @property
     def rank(self) -> int:
         return len(self._rows)
 
+    def reduce(self, row: dict[int, Fraction]) -> dict[int, Fraction]:
+        """*row* minus the combination of stored rows that clears every
+        pivot column."""
+        work = dict(row)
+        # Stored row i is zero at the pivots of the rows before it, so
+        # one pass in insertion order clears every pivot column.
+        for stored, pivot in zip(self._rows, self._pivots):
+            factor = work.get(pivot)
+            if factor:
+                for j, value in stored.items():
+                    rest = work.get(j, 0) - factor * value
+                    if rest:
+                        work[j] = rest
+                    else:
+                        del work[j]
+        return work
+
+    def insert(self, work: dict[int, Fraction]) -> bool:
+        """Keep a :meth:`reduce`-d row iff its first ``d`` columns are not
+        all zero; return whether the rank grew."""
+        pivot = min((j for j in work if j < self.d), default=None)
+        if pivot is None:
+            return False
+        inv = Fraction(work[pivot])
+        self._rows.append({j: x / inv for j, x in work.items()})
+        self._pivots.append(pivot)
+        return True
+
     def add(self, row: tuple[int, ...]) -> bool:
         """Insert *row* if independent of the current span; return whether
         the rank grew."""
-        work = [Fraction(x) for x in row]
-        for stored, pivot in zip(self._rows, self._pivots):
-            factor = work[pivot]
-            if factor:
-                for j in range(pivot, self.d):
-                    work[j] -= factor * stored[j]
-        for col in range(self.d):
-            if work[col]:
-                inv = work[col]
-                self._rows.append([x / inv for x in work])
-                self._pivots.append(col)
-                return True
-        return False
+        return self.insert(self.reduce(_sparse(row)))
 
 
-def solve_affine(
-    rows: list[tuple[int, ...]],
-    rhs: list[int],
-    d: int,
-) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """Solve ``rows · c = rhs`` exactly; return ``(c0, nullspace basis)``.
-
-    ``c0`` is the particular solution with every free coordinate zero.
-    Raises :class:`ReconstructionError` when the system is inconsistent.
-    """
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(r)]
-        for row, r in zip(rows, rhs)
-    ]
-    pivots: list[int] = []
-    r = 0
-    for col in range(d):
-        sel = None
-        for i in range(r, len(aug)):
-            if aug[i][col]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        aug[r], aug[sel] = aug[sel], aug[r]
-        pivot_value = aug[r][col]
-        aug[r] = [x / pivot_value for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][col]:
-                factor = aug[i][col]
-                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, len(aug)):
-        if aug[i][d]:
-            raise ReconstructionError(
-                "probe counts are inconsistent with flow conservation"
-            )
-    c0 = [Fraction(0)] * d
-    for i, col in enumerate(pivots):
-        c0[col] = aug[i][d]
-    pivot_set = set(pivots)
-    basis: list[list[Fraction]] = []
-    for free_col in range(d):
-        if free_col in pivot_set:
-            continue
-        vec = [Fraction(0)] * d
-        vec[free_col] = Fraction(1)
-        for i, col in enumerate(pivots):
-            vec[col] = -aug[i][free_col]
-        basis.append(vec)
-    return c0, basis
-
-
-class FlowSystem:
+class CirculationSpace:
     """The augmented flow graph of one CFG, in chord coordinates.
 
     Built from plain label data (entry, reachable blocks, merged real
-    edges, exit blocks) so a pickled
-    :class:`~repro.profiles.probes.placement.ProbePlacement` can rebuild
-    it deterministically on any process.
+    edges, exit blocks), so it is a pure function of the CFG shape.
+    Placement ranks probe candidates against its rows and
+    :meth:`FlowSystem.factor` inverts them; nothing on a run's path
+    needs it.
     """
 
     def __init__(
@@ -261,62 +239,193 @@ class FlowSystem:
         )
         self.dimension = d
 
-    # -- reconstruction -------------------------------------------------
+    def edge_row(self, index: int) -> tuple[int, ...]:
+        """The flow on augmented edge *index* as a chord-coordinate row."""
+        return tuple(cycle.get(index, 0) for cycle in self.chi)
+
+
+@dataclass(frozen=True)
+class FlowSystem:
+    """The fixed reconstruction map of one probe set over one CFG.
+
+    The measurement vector is ``(runs, count of probes[0], …)``.  Every
+    map row holds sparse integer coefficients over it; a value is the
+    row's dot product with the vector, divided — exactly — by
+    ``denominator``.  Plain data: it pickles with its
+    :class:`~repro.profiles.probes.placement.ProbePlacement` (and so
+    with any program lowered against it), and a rehydrated program never
+    factors again.
+    """
+
+    blocks: tuple[str, ...]
+    real_edges: tuple[tuple[str, str], ...]
+    probes: tuple[str, ...]
+    denominator: int
+    #: Per block (aligned with ``blocks``): the map row of its count.
+    node_map: tuple[SparseRow, ...]
+    #: Per real edge: the map row of its flow; ``None`` when the probes
+    #: leave some edge flow free (edge frequencies are all-or-nothing).
+    edge_map: tuple[SparseRow, ...] | None
+    #: Left-nullspace rows of the measurements: consistent counts are
+    #: orthogonal to every one (redundant probes must agree).
+    consistency: tuple[SparseRow, ...] = ()
+    #: The first block the probes do not determine; solving then raises.
+    undetermined: str | None = None
+
+    @classmethod
+    def factor(cls, space: CirculationSpace, probes: tuple[str, ...]) -> "FlowSystem":
+        """Invert the measurements of *probes* over *space* once."""
+        unknown = [v for v in probes if v not in space.node_rows]
+        if unknown:
+            raise ValueError(f"probes {unknown!r} are not blocks of the CFG")
+        d = space.dimension
+        # Reduce [rows | I]: a row that reduces to zero on the left leaves
+        # on the right a left-nullspace vector of the measurements.
+        basis = Eliminator(d)
+        consistency = []
+        rows = [space.t_row] + [space.node_rows[v] for v in probes]
+        for i, row in enumerate(rows):
+            work = basis.reduce({**_sparse(row), d + i: 1})
+            if not basis.insert(work):
+                scale = math.lcm(1, *(x.denominator for x in work.values()))
+                consistency.append(tuple(
+                    (j - d, int(x * scale)) for j, x in sorted(work.items())
+                ))
+
+        def express(target: tuple[int, ...]) -> dict[int, Fraction] | None:
+            """*target*'s coefficients over the measurements, or ``None``
+            when it lies outside their span."""
+            work = basis.reduce(_sparse(target))
+            if any(j < d for j in work):
+                return None
+            return {j - d: -x for j, x in work.items()}
+
+        node_coeffs = []
+        for label in space.blocks:
+            coeffs = express(space.node_rows[label])
+            if coeffs is None:
+                return cls(
+                    space.blocks, space.real_edges, tuple(probes), 1,
+                    (), None, undetermined=label,
+                )
+            node_coeffs.append(coeffs)
+        edge_coeffs: list[dict[int, Fraction]] | None = []
+        for index in range(len(space.real_edges)):
+            coeffs = express(space.edge_row(index))
+            if coeffs is None:
+                edge_coeffs = None
+                break
+            edge_coeffs.append(coeffs)
+
+        denominator = math.lcm(1, *(
+            x.denominator
+            for coeffs in node_coeffs + (edge_coeffs or [])
+            for x in coeffs.values()
+        ))
+
+        def scaled(coeffs: dict[int, Fraction]) -> SparseRow:
+            return tuple(
+                (j, int(x * denominator)) for j, x in sorted(coeffs.items())
+            )
+
+        return cls(
+            blocks=space.blocks,
+            real_edges=space.real_edges,
+            probes=tuple(probes),
+            denominator=denominator,
+            node_map=tuple(scaled(c) for c in node_coeffs),
+            edge_map=None if edge_coeffs is None else tuple(
+                scaled(c) for c in edge_coeffs
+            ),
+            consistency=tuple(consistency),
+        )
+
+    # -- the per-run path ---------------------------------------------
+    # The map runs as one generated function returning every block count
+    # and edge flow (numerators over ``denominator``) as a tuple of plain
+    # integer sums, about 3x faster than looping over sparse rows.  It is
+    # a pure function of the map rows, so it is rebuilt, never pickled.
+    # A row has at most one term per measurement, and placement caps
+    # those at |E| - |V| + 2 of a CFG within MAX_BLOCKS, well inside what
+    # the compiler nests.
+    def __post_init__(self) -> None:
+        sums = []
+        for row in self.node_map + (self.edge_map or ()):
+            terms = "".join(
+                f"+r[{j}]" if a == 1 else
+                f"-r[{j}]" if a == -1 else
+                f"{a:+d}*r[{j}]"
+                for j, a in row
+            )
+            sums.append(terms.lstrip("+") or "0")
+        body = f"({', '.join(sums)},)" if sums else "()"
+        namespace: dict = {}
+        exec(f"def kernel(r):\n    return {body}", namespace)
+        object.__setattr__(self, "_kernel", namespace["kernel"])
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_kernel"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.__post_init__()
+
     def solve(
         self,
-        probes: tuple[str, ...],
         probe_counts,
         runs: int,
     ) -> tuple[dict[str, int], dict[tuple[str, str], int] | None]:
-        """Exact node frequencies (and, when unique, edge frequencies).
+        """The nonzero node frequencies of *runs* executions and, when the
+        probes determine every edge flow, the nonzero edge frequencies.
 
         ``probe_counts`` maps probed labels to observed execution counts;
         missing labels read as 0 (a probe that never fired).  Raises
         :class:`ReconstructionError` on inconsistent, under-determined or
         non-integral systems — never a silently wrong profile.
         """
-        rows = [self.t_row] + [self.node_rows[v] for v in probes]
-        rhs = [runs] + [int(probe_counts.get(v, 0)) for v in probes]
-        c0, basis = solve_affine(rows, rhs, self.dimension)
-
-        node_freq: dict[str, int] = {}
-        for label in self.blocks:
-            row = self.node_rows[label]
-            for vec in basis:
-                if _dot(row, vec):
-                    raise ReconstructionError(
-                        f"block {label!r} is under-determined by probes "
-                        f"{list(probes)!r}"
-                    )
-            value = _dot(row, c0)
-            if value.denominator != 1 or value < 0:
-                raise ReconstructionError(
-                    f"block {label!r} reconstructed to {value}, not a "
-                    "non-negative integer: corrupt probe counts"
-                )
-            node_freq[label] = int(value)
-
-        edge_freq: dict[tuple[str, str], int] | None = {}
-        for index, (src, dst) in enumerate(self.real_edges):
-            free = any(
-                any(
-                    cycle.get(index, 0) and vec[j]
-                    for j, cycle in enumerate(self.chi)
-                )
-                and _dot(
-                    tuple(c.get(index, 0) for c in self.chi), vec
-                )
-                for vec in basis
+        if self.undetermined is not None:
+            raise ReconstructionError(
+                f"block {self.undetermined!r} is under-determined by probes "
+                f"{list(self.probes)!r}"
             )
-            if free:
-                edge_freq = None
-                break
-            value = _dot(tuple(c.get(index, 0) for c in self.chi), c0)
+        rhs = [runs]
+        for label in self.probes:
+            rhs.append(int(probe_counts.get(label, 0)))
+        for row in self.consistency:
+            if sum(a * rhs[j] for j, a in row):
+                raise ReconstructionError(
+                    "probe counts are inconsistent with flow conservation"
+                )
+        values = self._kernel(rhs)
+        denominator = self.denominator
+        if min(values, default=0) < 0 or (
+            denominator != 1 and any(v % denominator for v in values)
+        ):
+            self._reject(values)
+        if denominator != 1:
+            values = [v // denominator for v in values]
+        n = len(self.blocks)
+        node_freq = {
+            label: count for label, count in zip(self.blocks, values) if count
+        }
+        if self.edge_map is None:
+            return node_freq, None
+        edge_freq = {
+            edge: flow for edge, flow in zip(self.real_edges, values[n:]) if flow
+        }
+        return node_freq, edge_freq
+
+    def _reject(self, values) -> None:
+        """Raise for the first value that is not a non-negative integer
+        (*values* are numerators over the denominator)."""
+        names = [("block", b) for b in self.blocks]
+        names += [("edge", e) for e in self.real_edges]
+        for (kind, name), total in zip(names, values):
+            value = Fraction(total, self.denominator)
             if value.denominator != 1 or value < 0:
                 raise ReconstructionError(
-                    f"edge {(src, dst)!r} reconstructed to {value}, not a "
+                    f"{kind} {name!r} reconstructed to {value}, not a "
                     "non-negative integer: corrupt probe counts"
                 )
-            if value:
-                edge_freq[(src, dst)] = int(value)
-        return node_freq, edge_freq

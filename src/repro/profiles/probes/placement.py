@@ -8,7 +8,7 @@ min-cost refinement) — the hot path runs uninstrumented.
 
 The determining sets form a linear matroid: probe measurements are rows
 in the chord-coordinate space of :class:`~repro.profiles.probes.flowsys.
-FlowSystem`, and a set determines all frequencies iff its rows (together
+CirculationSpace`, and a set determines all frequencies iff its rows (together
 with the known run count ``t``) span the full measurement space.
 Greedily scanning blocks in ascending cost order and keeping each block
 whose row grows the span therefore yields a probe set that is both
@@ -34,7 +34,11 @@ from functools import lru_cache
 
 from repro.ir.cfg import CFG
 from repro.ir.function import Function
-from repro.profiles.probes.flowsys import Eliminator, FlowSystem
+from repro.profiles.probes.flowsys import (
+    CirculationSpace,
+    Eliminator,
+    FlowSystem,
+)
 
 #: Reasons a CFG is refused (callers fall back to full counting).
 REFUSAL_REASONS = ("multi-exit", "no-exit", "too-large")
@@ -61,11 +65,13 @@ class PlacementError(Exception):
 class ProbePlacement:
     """A certified probe set for one CFG shape.
 
-    Plain label data only — hashable, picklable, and enough to rebuild
-    the :class:`FlowSystem` deterministically in any process.  ``probes``
-    is the instrumentation set in placement (ascending-cost) order;
-    ``bound`` is the spanning-tree bound ``|E| − |V| + 1`` the set is
-    guaranteed not to exceed.
+    Label data — hashable and picklable — plus ``system``, the fixed
+    reconstruction map of this probe set, factored once at construction.
+    The map is plain data too, so it pickles with the placement (and
+    with any program lowered against it): rehydrating never factors
+    again.  ``probes`` is the instrumentation set in placement
+    (ascending-cost) order; ``bound`` is the spanning-tree bound
+    ``|E| − |V| + 1`` the set is guaranteed not to exceed.
     """
 
     entry: str
@@ -75,19 +81,28 @@ class ProbePlacement:
     probes: tuple[str, ...]
     n_edges: int = field(init=False, default=0)
     bound: int = field(init=False, default=0)
+    probe_set: frozenset[str] = field(init=False, repr=False, compare=False)
+    system: FlowSystem = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_edges", len(self.edges))
+        object.__setattr__(self, "probe_set", frozenset(self.probes))
         object.__setattr__(
             self, "bound", max(0, len(self.edges) - len(self.blocks) + 1)
         )
+        object.__setattr__(self, "system", _system_for(
+            self.entry, self.blocks, self.edges, self.exits, self.probes
+        ))
 
-    @property
-    def probe_set(self) -> frozenset[str]:
-        return frozenset(self.probes)
 
-    def system(self) -> FlowSystem:
-        return _system_for(self.entry, self.blocks, self.edges, self.exits)
+@lru_cache(maxsize=256)
+def _space_for(
+    entry: str,
+    blocks: tuple[str, ...],
+    edges: tuple[tuple[str, str], ...],
+    exits: tuple[str, ...],
+) -> CirculationSpace:
+    return CirculationSpace(entry, blocks, edges, exits)
 
 
 @lru_cache(maxsize=256)
@@ -96,8 +111,12 @@ def _system_for(
     blocks: tuple[str, ...],
     edges: tuple[tuple[str, str], ...],
     exits: tuple[str, ...],
+    probes: tuple[str, ...],
 ) -> FlowSystem:
-    return FlowSystem(entry, blocks, edges, exits)
+    """The reconstruction map, factored once per (CFG shape, probe set):
+    a recompile that places the same probes on the same CFG shares it.
+    The map is immutable, so sharing is safe."""
+    return FlowSystem.factor(_space_for(entry, blocks, edges, exits), probes)
 
 
 def cfg_shape(
@@ -153,13 +172,13 @@ def place_probes(
             f"{list(exits)!r}",
         )
 
-    system = _system_for(entry, blocks, edges, exits)
+    space = _space_for(entry, blocks, edges, exits)
 
     # Rank of the full measurement space {t} ∪ {m_v : all v}.
-    full = Eliminator(system.dimension)
-    full.add(system.t_row)
+    full = Eliminator(space.dimension)
+    full.add(space.t_row)
     for label in blocks:
-        full.add(system.node_rows[label])
+        full.add(space.node_rows[label])
 
     node_freq = getattr(profile, "node_freq", None) or {}
     order = sorted(
@@ -167,13 +186,13 @@ def place_probes(
         key=lambda i: (node_freq.get(blocks[i], 0), i),
     )
 
-    chosen = Eliminator(system.dimension)
-    chosen.add(system.t_row)
+    chosen = Eliminator(space.dimension)
+    chosen.add(space.t_row)
     probes: list[str] = []
     for i in order:
         if chosen.rank == full.rank:
             break
-        if chosen.add(system.node_rows[blocks[i]]):
+        if chosen.add(space.node_rows[blocks[i]]):
             probes.append(blocks[i])
     assert chosen.rank == full.rank, "matroid greedy failed to reach full rank"
 

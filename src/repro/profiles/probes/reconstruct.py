@@ -42,20 +42,12 @@ def reconstruct_profile(
     """
     if runs < 0:
         raise ValueError(f"runs must be non-negative, got {runs}")
-    unknown = [v for v in probe_counts if v not in placement.probe_set]
-    if unknown:
+    if not placement.probe_set.issuperset(probe_counts):
+        unknown = set(probe_counts) - placement.probe_set
         raise ValueError(
             f"counts supplied for unprobed blocks {sorted(unknown)!r}"
         )
-    node_freq, edge_freq = placement.system().solve(
-        placement.probes, probe_counts, runs
+    node_freq, edge_freq = placement.system.solve(probe_counts, runs)
+    return ExecutionProfile(
+        node_freq=Counter(node_freq), edge_freq=Counter(edge_freq or {})
     )
-    profile = ExecutionProfile(
-        node_freq=Counter(
-            {label: n for label, n in node_freq.items() if n}
-        ),
-        edge_freq=Counter(
-            {edge: n for edge, n in (edge_freq or {}).items() if n}
-        ),
-    )
-    return profile

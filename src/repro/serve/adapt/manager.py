@@ -331,6 +331,7 @@ class AdaptationManager:
                 state.config,
                 engine=state.engine,
                 profile=profile,
+                profiling=self.config.profiling,
             )
             self.service.metrics.inc("recompiles")
             # profiling passed only when non-default so injected test

@@ -2,13 +2,15 @@
 
 An artifact — an optimised function plus its lowered
 :class:`~repro.profiles.compiled.CompiledProgram` and pass report — is a
-pure function of three inputs:
+pure function of four inputs:
 
 1. the *structure* of the prepared source function,
 2. the pipeline configuration (:class:`~repro.pipeline.PipelineConfig`),
-3. the profile the optimiser was trained on.
+3. the profile the optimiser was trained on,
+4. the profiling mode the program is lowered for (full counting, or
+   sparse probe counters — :mod:`repro.profiles.probes`).
 
-The key therefore hashes exactly those three, nothing else.  Structural
+The key therefore hashes exactly those four, nothing else.  Structural
 identity uses the printer's normalization mode
 (:func:`repro.ir.printer.format_function` with ``normalize=True``):
 SSA version renumbering — the classic source of spurious cache misses,
@@ -46,7 +48,10 @@ from repro.profiles.profile import ExecutionProfile
 #:    are provably in-bounds — i.e. how aggressively the compile may
 #:    speculate — so two sources differing only in a declared length must
 #:    never share an artifact.
-KEY_SCHEMA = 3
+#: 4: a ``profiling:`` section.  A "probes" artifact ships a sparse
+#:    program and a "full" one a fully counting program, so the two
+#:    modes must never be served each other's artifact.
+KEY_SCHEMA = 4
 
 __all__ = [
     "KEY_SCHEMA",
@@ -116,6 +121,7 @@ def artifact_key(
     engine: str = "compiled",
     train_args: Iterable[int] | None = None,
     profile: ExecutionProfile | None = None,
+    profiling: str = "full",
 ) -> str:
     """The content address of one compiled artifact.
 
@@ -132,6 +138,10 @@ def artifact_key(
     structure), so an auto request shares its artifact with the forced
     solver it would pick — and two configs that place code differently
     can never collide on one key.
+
+    ``profiling`` is the mode the artifact's program is lowered for
+    (``"full"`` or ``"probes"``); the optimised code is the same either
+    way, the served program's instrumentation is not.
     """
     config = config.resolved(func)
     if profile is not None and train_args is not None:
@@ -153,6 +163,7 @@ def artifact_key(
         f"config:{config.canonical()}",
         f"engine:{engine}",
         profile_part,
+        f"profiling:{profiling}",
     ))
 
 

@@ -57,7 +57,7 @@ COUNTERS = (
     "tier_demotions",    # compiled-artifact -> interpreter demotions
     "rollbacks",         # hot swaps undone to the previous artifact
     # -- cluster tier (repro.serve.cluster) ----------------------------
-    "plan_hits",         # requests answered from the per-worker plan cache
+    "plan_hits",         # requests whose plan came from the plan memo
     "lock_rehydrates",   # cross-process race losers served from disk
     "lock_breaks",       # stale cross-process build locks broken
     # -- minimum-coverage profiling (repro.profiles.probes) ------------

@@ -60,8 +60,14 @@ DEFAULT_TIMEOUT_S = 30.0
 
 DEFAULT_MAX_STEPS = 2_000_000
 
+#: Distinct request plans (prepared function, resolved config, key) one
+#: service memoises, least recently used first out: the memory tier's
+#: default entry bound, so each artifact it can hold keeps its plan.
+PLAN_MEMO_SIZE = 256
+
 __all__ = [
     "DEFAULT_TIMEOUT_S",
+    "PLAN_MEMO_SIZE",
     "CompileRequest",
     "ServeResponse",
     "CompileService",
@@ -90,10 +96,10 @@ class CompileRequest:
     #: Profiling mode for the training run and the served program:
     #: "full" counts every node and edge; "probes" instruments only the
     #: minimum coverage probe set (repro.profiles.probes) and
-    #: reconstructs exact node frequencies by flow conservation.
-    #: Deliberately *not* part of the artifact key: reconstruction is
-    #: bit-exact, so both modes produce observationally identical
-    #: artifacts and may share cache entries.
+    #: reconstructs exact node frequencies by flow conservation.  Part
+    #: of the artifact key: the two modes lower the served program
+    #: differently (sparse probe counters vs full edge counting), so
+    #: neither may be served the other's artifact.
     profiling: str = "full"
 
     def __post_init__(self) -> None:
@@ -102,6 +108,22 @@ class CompileRequest:
                 f"unknown profiling mode {self.profiling!r}; "
                 f"expected one of {PROFILING_MODES}"
             )
+
+    def plan_key(self) -> tuple:
+        """Every field except the input vector and the step budget:
+        what the request's plan (prepared function, config, key)
+        depends on."""
+        return (
+            self.source,
+            self.variant,
+            self.train_args,
+            self.engine,
+            self.fold_constants,
+            self.cleanup,
+            self.rounds,
+            self.solver,
+            self.profiling,
+        )
 
     def config(self) -> PipelineConfig:
         return PipelineConfig(
@@ -323,7 +345,6 @@ class CompileService:
         build: Callable[..., Artifact] | None = None,
         adapt: "AdaptConfig | None" = None,
         lock_dir: str | None = None,
-        plan_cache: int = 0,
     ) -> None:
         self.store = store or ArtifactStore()
         self.metrics = metrics or ServeMetrics()
@@ -351,15 +372,9 @@ class CompileService:
                 lock_dir,
                 on_break=lambda _path: self.metrics.inc("lock_breaks"),
             )
-        #: Bounded plan cache: memoises (source, config, engine,
-        #: train_args) -> (prepared function, resolved config, artifact
-        #: key), skipping parse/prepare/key on repeat requests.  Safe
-        #: because the pipeline never mutates its input function
-        #: (repro.pipeline docstring).  0 (the default) disables it so
-        #: the single-process latency pins keep measuring the full
-        #: request path; cluster workers turn it on, where hash routing
-        #: concentrates each program's traffic on its owning worker.
-        self._plan_cache_size = plan_cache
+        #: The plan memo (see :meth:`_plan`): request plan key ->
+        #: (prepared function, resolved config, key), LRU-bounded by
+        #: :data:`PLAN_MEMO_SIZE`.
         self._plans: OrderedDict[tuple, tuple] = OrderedDict()
         self._plans_lock = threading.Lock()
         #: The online re-optimisation tier (docs/SERVING.md "Adaptation").
@@ -403,12 +418,9 @@ class CompileService:
 
     # ------------------------------------------------------------------
     def _handle(self, request: CompileRequest, t_start: float) -> ServeResponse:
-        if self.adapt is not None:
-            config = request.config()  # validates variant/rounds/solver
-            prepared = prepare(parse_function(request.source))
-            config = config.resolved(prepared)
-            return self._handle_adaptive(request, prepared, config)
         prepared, config, key = self._plan(request)
+        if self.adapt is not None:
+            return self._handle_adaptive(request, prepared, config, key)
         deadline = t_start + self.timeout_s
 
         artifact, tier = self.store.get(key)
@@ -472,10 +484,11 @@ class CompileService:
         request: CompileRequest,
         prepared: Function,
         config: PipelineConfig,
+        skey: str,
     ) -> ServeResponse:
         """Serve one request through the tiered adaptation loop.
 
-        Identity is the *structural* key (profile excluded): all traffic
+        Identity is the *structural* key *skey* (profile excluded): all traffic
         for one (program, config, engine) shares a live profile and one
         hot-swappable artifact binding.  An unbound key serves on the
         reference interpreter over the prepared function (tier 0,
@@ -484,7 +497,6 @@ class CompileService:
         object, so a request racing a hot swap sees the old artifact or
         the new one — never a mixture — and never blocks on the swap.
         """
-        skey = structural_key(prepared, config, engine=request.engine)
         state = self.adapt.state_for(
             skey, prepared, config, request.engine, request.max_steps
         )
@@ -545,53 +557,48 @@ class CompileService:
 
     # ------------------------------------------------------------------
     def _plan(self, request: CompileRequest) -> tuple[Function, PipelineConfig, str]:
-        """Parse, prepare and key one request — memoised when the plan
-        cache is on.
+        """Parse, prepare and key one request, memoised per plan.
 
         The plan is everything about a request that does not depend on
         its input vector: the prepared function, the solver-resolved
-        config and the artifact key.  On a warm service those three
-        dominate request latency (parse + SSA construction + normalized
-        printing ≈ 40x the artifact's execute time), so cluster workers
-        cache them per distinct (source, config, engine, train_args).
+        config and the key its path serves under — the artifact key, or
+        on the adaptive path the structural key.  Warm, computing it
+        costs many times the artifact's execute time (parse + SSA
+        construction + normalized printing), so the service memoises it
+        per :meth:`CompileRequest.plan_key`.  Safe because the pipeline
+        never mutates its input function (repro.pipeline docstring).
         """
-        plan_key = (
-            request.source,
-            request.variant,
-            request.fold_constants,
-            request.cleanup,
-            request.rounds,
-            request.solver,
-            request.engine,
-            request.train_args,
-        )
-        if self._plan_cache_size:
-            with self._plans_lock:
-                plan = self._plans.get(plan_key)
-                if plan is not None:
-                    self._plans.move_to_end(plan_key)
+        plan_key = request.plan_key()
+        with self._plans_lock:
+            plan = self._plans.get(plan_key)
             if plan is not None:
-                self.metrics.inc("plan_hits")
-                return plan
+                self._plans.move_to_end(plan_key)
+        if plan is not None:
+            self.metrics.inc("plan_hits")
+            return plan
         config = request.config()  # validates variant/rounds/solver
         prepared = prepare(parse_function(request.source))
         # Resolve solver="auto" against the prepared function once: the
         # key, the build and the artifact's report all see the concrete
         # solver the classifier picked.
         config = config.resolved(prepared)
-        key = artifact_key(
-            prepared,
-            config,
-            engine=request.engine,
-            train_args=request.train_args,
-        )
-        if self._plan_cache_size:
-            with self._plans_lock:
-                self._plans[plan_key] = (prepared, config, key)
-                self._plans.move_to_end(plan_key)
-                while len(self._plans) > self._plan_cache_size:
-                    self._plans.popitem(last=False)
-        return prepared, config, key
+        if self.adapt is not None:
+            key = structural_key(prepared, config, engine=request.engine)
+        else:
+            key = artifact_key(
+                prepared,
+                config,
+                engine=request.engine,
+                train_args=request.train_args,
+                profiling=request.profiling,
+            )
+        plan = (prepared, config, key)
+        with self._plans_lock:
+            self._plans[plan_key] = plan
+            self._plans.move_to_end(plan_key)
+            while len(self._plans) > PLAN_MEMO_SIZE:
+                self._plans.popitem(last=False)
+        return plan
 
     # ------------------------------------------------------------------
     def _build_single_flight(

@@ -81,9 +81,9 @@ class Artifact:
     train_node_freq: dict[str, int] | None = None
     #: Instrumentation mode of the served program: "full" counting, or
     #: minimum-coverage "probes" (sparse counters + flow-conservation
-    #: reconstruction; see repro.profiles.probes).  Both modes produce
-    #: bit-identical RunResults, so this is provenance, not identity —
-    #: it is deliberately absent from the artifact key.
+    #: reconstruction; see repro.profiles.probes).  A "probes" request
+    #: whose CFG placement refuses still ships "full": this records what
+    #: shipped, while the artifact key records what was asked for.
     profiling: str = "full"
     schema: int = ARTIFACT_SCHEMA
     #: Pickled size in bytes; computed on first use (see ``nbytes``).

@@ -4,6 +4,9 @@ import pytest
 from hypothesis import given, settings
 
 from repro.bench.generator import ProgramSpec, generate_program
+from repro.bench.workloads import ALL_BENCHMARKS, COMPOSITE, MEMORY, load_workload
+from repro.check.driver import SHAPES, spec_for_shape
+from repro.ir.structural import structural_diff
 from repro.ir.printer import format_function
 from repro.ir.verifier import verify_function
 from repro.lang.lexer import LexError, tokenize
@@ -52,6 +55,15 @@ class TestLexer:
     def test_bad_character_raises(self):
         with pytest.raises(LexError):
             list(tokenize("x @ y"))
+
+    def test_hyphenated_name_is_one_token(self):
+        # Workload names such as mem-stream head printed functions.
+        tokens = list(tokenize("func mem-stream(p0)"))
+        assert [t.text for t in tokens[:3]] == ["func", "mem-stream", "("]
+
+    def test_leading_minus_still_starts_an_integer(self):
+        tokens = list(tokenize("x = sub a, -1"))
+        assert (tokens[-2].kind, tokens[-2].text) == ("INT", "-1")
 
 
 class TestParser:
@@ -284,6 +296,32 @@ class TestRoundTrip:
         normalized = parse_function(format_function(ssa, normalize=True))
         assert structural_diff(normalized, reparsed) == []
         assert reparsed.arrays == ssa.arrays
+
+
+class TestCatalogRoundTrip:
+    """print → parse → print is a fixed point, structure and name
+    preserved, over every named workload (the hyphenated ``mem-*`` and
+    ``chain-*`` ones included) and every fuzz shape's generator seeds:
+    exactly the text the serve protocol carries."""
+
+    @staticmethod
+    def _assert_fixed_point(func):
+        text = format_function(func)
+        reparsed = parse_function(text)
+        assert reparsed.name == func.name
+        assert structural_diff(func, reparsed) == []
+        assert format_function(reparsed) == text
+
+    @pytest.mark.parametrize("name", ALL_BENCHMARKS + COMPOSITE + MEMORY)
+    def test_catalog_workload(self, name):
+        self._assert_fixed_point(load_workload(name).program.func)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("seed", range(10))
+    def test_fuzz_shape_seed(self, shape, seed):
+        self._assert_fixed_point(
+            generate_program(spec_for_shape(shape, seed)).func
+        )
 
 
 class TestStructuralRoundTrip:

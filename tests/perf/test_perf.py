@@ -24,7 +24,8 @@ import pytest
 #: added the "memory" section (array-workload suite + the pinned
 #: speculative-hoist/aliased-blocked pair); v8 added the "profiling"
 #: section (minimum-coverage probe placement + the profile-quality
-#: study) and the ``--only`` section filter.
+#: study) and the ``--only`` section filter; v9 added the profiling
+#: section's "wall" gate.
 BENCH_KEYS = {
     "schema", "quick", "repeat", "solver", "python", "platform",
     "execution", "compile", "memory", "iterative", "solver_scaling",
@@ -33,14 +34,15 @@ BENCH_KEYS = {
 PROFILING_KEYS = {
     "workloads", "fallbacks", "total_full_events", "total_probe_events",
     "event_ratio", "min_event_ratio", "bounds_ok", "equivalent",
-    "sample_period", "quality", "quality_ok", "ok",
+    "sample_period", "quality", "quality_ok", "wall", "ok",
 }
 PROFILING_ROW_KEYS = {
     "name", "blocks", "edges", "probes", "bound", "bound_ok",
     "full_events", "probe_events", "event_ratio", "reference_full_s",
-    "reference_probed_s", "compiled_full_s", "compiled_probed_s",
-    "mismatches",
+    "reference_probed_s", "mismatches",
 }
+PROFILING_WALL_KEYS = {"workloads", "refused", "max_ratio", "worst_ratio", "ok"}
+PROFILING_WALL_ROW_KEYS = {"name", "full_s", "sparse_s", "ratio", "ok"}
 PROFILING_QUALITY_KEYS = {
     "name", "cost_exact", "delta_reconstructed", "delta_sampled",
     "delta_stale", "fallback", "ok",
@@ -300,6 +302,26 @@ class TestCli:
             assert row["delta_reconstructed"] == 0
             assert row["delta_sampled"] >= 0
             assert row["delta_stale"] >= 0
+
+    def test_profiling_wall_gate(self, bench):
+        # Schema v9: the compiled sparse run, reconstruction included,
+        # is timed interleaved against full counting on every quick
+        # workload placement accepts, and must stay within the ceiling.
+        _, data = bench
+        wall = data["profiling"]["wall"]
+        assert set(wall) == PROFILING_WALL_KEYS
+        assert wall["ok"] is True
+        assert wall["max_ratio"] == 1.5
+        assert {row["name"] for row in wall["workloads"]} == {
+            "perlbench", "bwaves", "mem-stream",
+        }
+        for row in wall["workloads"]:
+            assert set(row) == PROFILING_WALL_ROW_KEYS
+            assert row["ok"] is True
+            assert row["ratio"] <= wall["max_ratio"]
+        assert wall["worst_ratio"] == max(
+            row["ratio"] for row in wall["workloads"]
+        )
 
     def test_only_flag_restricts_sections(self, tmp_path):
         out = tmp_path / "BENCH.json"

@@ -14,12 +14,24 @@ import pickle
 
 import pytest
 
+from fractions import Fraction
+
+import repro.profiles.probes.placement as placement_module
+from repro.bench.generator import generate_program, random_args
+from repro.bench.workloads import (
+    ALL_BENCHMARKS,
+    COMPOSITE,
+    MEMORY,
+    load_workload,
+)
+from repro.check.driver import SHAPES, spec_for_shape
 from repro.ir.builder import FunctionBuilder
 from repro.pipeline import prepare
 from repro.profiles.compiled import compile_function
 from repro.profiles.interp import run_function
 from repro.profiles.probes import (
     MAX_BLOCKS,
+    FlowSystem,
     PlacementError,
     ProbePlacement,
     ReconstructionError,
@@ -29,6 +41,7 @@ from repro.profiles.probes import (
     run_probed,
     try_place_probes,
 )
+from repro.profiles.probes.flowsys import CirculationSpace
 
 from tests.conftest import build_diamond, build_straightline, build_while_loop
 
@@ -232,35 +245,268 @@ class TestReconstruction:
         assert dict(sparse.node_freq) == dict(full.node_freq)
 
 
+def _dot(row, vec) -> Fraction:
+    return sum((a * b for a, b in zip(row, vec) if a), Fraction(0))
+
+
+def solve_affine(rows, rhs, d):
+    """Solve ``rows · c = rhs`` by dense exact Gauss–Jordan elimination;
+    return ``(c0, nullspace basis)`` with every free coordinate of the
+    particular solution ``c0`` zero.  Independent of the sparse
+    elimination the map is factored with."""
+    aug = [[Fraction(x) for x in row] + [Fraction(r)] for row, r in zip(rows, rhs)]
+    pivots = []
+    for col in range(d):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(aug)) if aug[i][col]), None)
+        if sel is None:
+            continue
+        aug[r], aug[sel] = aug[sel], aug[r]
+        aug[r] = [x / aug[r][col] for x in aug[r]]
+        for i in range(len(aug)):
+            if i != r and aug[i][col]:
+                factor = aug[i][col]
+                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[r])]
+        pivots.append(col)
+    if any(aug[i][d] for i in range(len(pivots), len(aug))):
+        raise ReconstructionError("inconsistent")
+    c0 = [Fraction(0)] * d
+    for i, col in enumerate(pivots):
+        c0[col] = aug[i][d]
+    basis = []
+    for free in sorted(set(range(d)) - set(pivots)):
+        vec = [Fraction(0)] * d
+        vec[free] = Fraction(1)
+        for i, col in enumerate(pivots):
+            vec[col] = -aug[i][free]
+        basis.append(vec)
+    return c0, basis
+
+
+def direct_solve(placement, probe_counts, runs):
+    """The per-count reconstruction the fixed map replaces, kept as its
+    oracle: solve the measurements with :func:`solve_affine` for these counts,
+    then evaluate every block and edge against the particular solution,
+    refusing any the nullspace leaves free."""
+    space = CirculationSpace(
+        placement.entry, placement.blocks, placement.edges, placement.exits
+    )
+    rows = [space.t_row] + [space.node_rows[v] for v in placement.probes]
+    rhs = [runs] + [probe_counts.get(v, 0) for v in placement.probes]
+    c0, basis = solve_affine(rows, rhs, space.dimension)
+
+    def value(row):
+        if any(_dot(row, vec) for vec in basis):
+            return None
+        exact = _dot(row, c0)
+        if exact.denominator != 1 or exact < 0:
+            raise ReconstructionError(f"{exact} is not a count")
+        return int(exact)
+
+    node_freq = {}
+    for label in space.blocks:
+        count = value(space.node_rows[label])
+        if count is None:
+            raise ReconstructionError(f"block {label!r} is under-determined")
+        if count:
+            node_freq[label] = count
+    edge_freq = {}
+    for index, edge in enumerate(space.real_edges):
+        flow = value(space.edge_row(index))
+        if flow is None:
+            return node_freq, None
+        if flow:
+            edge_freq[edge] = flow
+    return node_freq, edge_freq
+
+
+def _parity_cases():
+    """(name, prepared function, ref args, training args) over the whole
+    workload catalog plus fuzz seeds of every generator shape."""
+    for name in ALL_BENCHMARKS + COMPOSITE + MEMORY:
+        yield name, lambda n=name: _catalog_case(n)
+    for shape in SHAPES:
+        for seed in range(6):
+            yield f"{shape}{seed}", lambda s=shape, k=seed: _fuzz_case(s, k)
+
+
+def _catalog_case(name):
+    workload = load_workload(name)
+    return (
+        prepare(workload.program.func), workload.ref_args,
+        workload.train_args,
+    )
+
+
+def _fuzz_case(shape, seed):
+    spec = spec_for_shape(shape, seed)
+    return (
+        prepare(generate_program(spec).func),
+        random_args(spec, seed=300), random_args(spec, seed=101),
+    )
+
+
+class TestMapParity:
+    """The fixed map against the direct per-count solve: identical node
+    and edge frequencies (and identical to full counting) on every
+    catalog workload placement accepts and on fuzz seeds of every
+    shape, for one run and for aggregated runs."""
+
+    @pytest.mark.parametrize(
+        "build", [b for _, b in _parity_cases()],
+        ids=[n for n, _ in _parity_cases()],
+    )
+    def test_map_matches_direct_solve(self, build):
+        prepared, ref_args, train_args = build()
+        program = compile_function(prepared)
+        train = program.run(train_args, max_steps=50_000_000).profile
+        placement, reason = try_place_probes(prepared, profile=train)
+        if placement is None:
+            assert reason == "too-large" or reason == "multi-exit"
+            pytest.skip(f"placement refused: {reason}")
+        full = program.run(ref_args, max_steps=50_000_000).profile
+        for runs, scale in ((1, 1), (3, 3)):
+            counts = {
+                label: scale * full.node_freq.get(label, 0)
+                for label in placement.probes
+            }
+            mapped = placement.system.solve(counts, runs)
+            assert mapped == direct_solve(placement, counts, runs)
+            assert mapped[0] == {
+                label: scale * n for label, n in full.node_freq.items()
+            }
+            if mapped[1] is not None:
+                assert mapped[1] == {
+                    edge: scale * n for edge, n in full.edge_freq.items()
+                }
+
+
+def _rehydrated(placement):
+    return pickle.loads(pickle.dumps(placement))
+
+
+def _blind_diamond():
+    """The diamond with its probe set stripped: the branch arm split is
+    then unobservable."""
+    placement = place_probes(build_diamond())
+    assert placement.probes  # the diamond genuinely needs a probe
+    return ProbePlacement(
+        entry=placement.entry, blocks=placement.blocks,
+        edges=placement.edges, exits=placement.exits, probes=(),
+    )
+
+
+def _redundant_diamond():
+    """Probes on both diamond arms: their counts must sum to the runs."""
+    placement = place_probes(build_diamond())
+    return ProbePlacement(
+        entry=placement.entry, blocks=placement.blocks,
+        edges=placement.edges, exits=placement.exits,
+        probes=("left", "right"),
+    )
+
+
+def _halves():
+    """A hand-built map over denominator 2.  Flow systems of CFGs factor
+    over denominator 1, but exact division is checked for any map."""
+    return FlowSystem(
+        blocks=("a",), real_edges=(), probes=("p",), denominator=2,
+        node_map=(((1, 1),),), edge_map=(),
+    )
+
+
 class TestLoudFailures:
+    """Every failure stays loud under the fixed map, on a fresh
+    placement and on one that was pickled and rehydrated."""
+
     def test_under_determined_system_raises(self):
-        # Strip the probe set: the diamond's branch arm split is then
-        # unobservable and the solver must refuse, not guess.
-        placement = place_probes(build_diamond())
-        assert placement.probes  # the diamond genuinely needs a probe
-        blind = ProbePlacement(
-            entry=placement.entry, blocks=placement.blocks,
-            edges=placement.edges, exits=placement.exits, probes=(),
-        )
-        with pytest.raises(ReconstructionError):
+        # The solver must refuse, not guess.
+        blind = _blind_diamond()
+        with pytest.raises(ReconstructionError, match="under-determined"):
             reconstruct_profile(blind, {}, runs=1)
+        with pytest.raises(ReconstructionError):
+            direct_solve(blind, {}, 1)
 
     def test_inconsistent_counts_raise(self):
-        # Redundant probes on both diamond arms: their counts must sum
-        # to the run count, so (1, 1) against runs=1 is a contradiction.
-        placement = place_probes(build_diamond())
-        redundant = ProbePlacement(
-            entry=placement.entry, blocks=placement.blocks,
-            edges=placement.edges, exits=placement.exits,
-            probes=("left", "right"),
-        )
-        with pytest.raises(ReconstructionError):
+        # (1, 1) on the two arms against runs=1 is a contradiction.
+        redundant = _redundant_diamond()
+        with pytest.raises(ReconstructionError, match="inconsistent"):
             reconstruct_profile(redundant, {"left": 1, "right": 1}, runs=1)
+        with pytest.raises(ReconstructionError):
+            direct_solve(redundant, {"left": 1, "right": 1}, 1)
+        # The same redundant probes agree with conservation on (1, 0).
+        profile = reconstruct_profile(redundant, {"left": 1}, runs=1)
+        assert profile.node_freq["left"] == 1
+        assert "right" not in profile.node_freq
+
+    def test_negative_result_raises(self):
+        # One probe on a diamond arm: the other arm is runs - probe, so
+        # an arm count above the run count is corrupt.
+        placement = place_probes(build_diamond())
+        (probe,) = placement.probes
+        with pytest.raises(ReconstructionError, match="non-negative"):
+            reconstruct_profile(placement, {probe: 2}, runs=1)
+        with pytest.raises(ReconstructionError):
+            direct_solve(placement, {probe: 2}, 1)
+
+    def test_non_integral_result_raises(self):
+        halves = _halves()
+        assert halves.solve({"p": 4}, 1) == ({"a": 2}, {})
+        with pytest.raises(ReconstructionError, match="3/2"):
+            halves.solve({"p": 3}, 1)
 
     def test_counts_for_unprobed_blocks_rejected(self):
         placement = place_probes(build_diamond())
         with pytest.raises(ValueError):
             reconstruct_profile(placement, {"not-a-probe": 1}, runs=1)
+
+    def test_probes_outside_the_cfg_rejected(self):
+        placement = place_probes(build_diamond())
+        with pytest.raises(ValueError, match="not blocks"):
+            ProbePlacement(
+                entry=placement.entry, blocks=placement.blocks,
+                edges=placement.edges, exits=placement.exits,
+                probes=("nowhere",),
+            )
+
+    def test_rehydrated_placements_fail_alike(self):
+        blind = _rehydrated(_blind_diamond())
+        with pytest.raises(ReconstructionError, match="under-determined"):
+            reconstruct_profile(blind, {}, runs=1)
+        redundant = _rehydrated(_redundant_diamond())
+        with pytest.raises(ReconstructionError, match="inconsistent"):
+            reconstruct_profile(redundant, {"left": 1, "right": 1}, runs=1)
+        placement = _rehydrated(place_probes(build_diamond()))
+        (probe,) = placement.probes
+        with pytest.raises(ReconstructionError, match="non-negative"):
+            reconstruct_profile(placement, {probe: 2}, runs=1)
+        with pytest.raises(ValueError):
+            reconstruct_profile(placement, {"not-a-probe": 1}, runs=1)
+        with pytest.raises(ReconstructionError, match="3/2"):
+            _rehydrated(_halves()).solve({"p": 3}, 1)
+
+    def test_rehydrated_placement_never_factors(self, monkeypatch):
+        placement = place_probes(build_while_loop())
+        clone = _rehydrated(placement)
+        program = _rehydrated(compile_function(
+            prepare(build_while_loop()), probes=placement
+        ))
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("factored on the run path")
+
+        monkeypatch.setattr(FlowSystem, "factor", refuse)
+        monkeypatch.setattr(placement_module, "_space_for", refuse)
+        assert clone == placement
+        assert clone.system == placement.system
+        full = run_function(build_while_loop(), [2, 3, 7]).profile
+        counts = {v: full.node_freq.get(v, 0) for v in clone.probes}
+        assert dict(reconstruct_profile(clone, counts).node_freq) == dict(
+            full.node_freq
+        )
+        assert program.run([2, 3, 7]).observable() == run_function(
+            build_while_loop(), [2, 3, 7]
+        ).observable()
 
     def test_negative_runs_rejected(self):
         placement = place_probes(build_diamond())

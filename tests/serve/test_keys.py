@@ -96,6 +96,10 @@ class TestArtifactKey:
             self.prepared, PipelineConfig(variant="ssapre"),
             train_args=(1, 2, 3),
         )
+        assert base != artifact_key(
+            self.prepared, PipelineConfig(variant="ssapre"),
+            profiling="probes",
+        )
 
     def test_train_args_key_is_intensional(self):
         config = PipelineConfig(variant="mc-ssapre")
@@ -148,7 +152,7 @@ class TestSolverKeying:
 
     def test_key_schema_pins_the_layout(self):
         # v2 made keys solver-aware; v3 folded array declarations into
-        # the function fingerprint.
+        # the function fingerprint; v4 keys the profiling mode.
         from repro.serve.keys import KEY_SCHEMA
 
-        assert KEY_SCHEMA == 3
+        assert KEY_SCHEMA == 4

@@ -7,6 +7,8 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 import repro.serve.server as server_module
+from repro.bench.workloads import COMPOSITE, MEMORY, load_workload
+from repro.ir.printer import format_function
 from repro.pipeline import prepare
 from repro.profiles.interp import run_function
 from repro.serve.server import (
@@ -289,21 +291,24 @@ class TestRequestParsing:
 
 
 class TestPlanCache:
-    """The bounded plan cache (cluster workers): memoised
-    parse/prepare/key, off by default, LRU-bounded when on."""
+    """The plan memo, always on: parse/prepare/key once per distinct
+    request plan on both request paths, LRU-bounded by PLAN_MEMO_SIZE."""
 
-    def test_disabled_by_default(self, diamond_source):
+    @staticmethod
+    def _count_parses(monkeypatch) -> list:
+        calls = []
+        parse = server_module.parse_function
+
+        def counting(source):
+            calls.append(source)
+            return parse(source)
+
+        monkeypatch.setattr(server_module, "parse_function", counting)
+        return calls
+
+    def test_repeat_requests_hit_the_plan_cache(self, diamond_source, monkeypatch):
+        parses = self._count_parses(monkeypatch)
         with CompileService() as service:
-            request = CompileRequest(
-                source=diamond_source, args=(4, 5, 1), variant="ssapre"
-            )
-            service.handle(request)
-            service.handle(request)
-        assert service.metrics.get("plan_hits") == 0
-        assert len(service._plans) == 0
-
-    def test_repeat_requests_hit_the_plan_cache(self, diamond_source):
-        with CompileService(plan_cache=8) as service:
             request = CompileRequest(
                 source=diamond_source, args=(4, 5, 1), variant="ssapre"
             )
@@ -312,13 +317,54 @@ class TestPlanCache:
             third = service.handle(request)
         assert cold.status == warm.status == third.status == "ok"
         assert service.metrics.get("plan_hits") == 2
+        assert len(parses) == 1
         # Memoising the plan must not change a single answer bit.
         assert cold.key == warm.key == third.key
         assert cold.observable() == warm.observable() == third.observable()
         assert cold.dynamic_cost == warm.dynamic_cost
 
+    def test_plan_hit_serves_from_memory_tier(self, diamond_source):
+        with CompileService() as service:
+            request = CompileRequest(
+                source=diamond_source, args=(4, 5, 1), variant="ssapre"
+            )
+            first = service.handle(request)
+            second = service.handle(request)
+        assert first.served_by == "compile"
+        assert second.served_by == "memory"
+
+    def test_args_and_step_budget_share_one_plan(self, diamond_source):
+        with CompileService() as service:
+            for args, max_steps in (((4, 5, 1), 1000), ((7, 1, 0), 5000)):
+                response = service.handle(CompileRequest(
+                    source=diamond_source, args=args, variant="ssapre",
+                    max_steps=max_steps,
+                ))
+                assert response.status == "ok"
+        assert service.metrics.get("plan_hits") == 1
+
+    def test_adaptive_path_hits_the_plan_memo(self, loop_source, monkeypatch):
+        from repro.serve.adapt.manager import AdaptConfig
+
+        parses = self._count_parses(monkeypatch)
+        request = CompileRequest(
+            source=loop_source, args=(2, 3, 5), variant="mc-ssapre",
+            train_args=(2, 3, 5),
+        )
+        with CompileService(adapt=AdaptConfig(warmup=2)) as service:
+            responses = [service.handle(request) for _ in range(3)]
+            assert service.adapt.drain()
+            responses.append(service.handle(request))
+        assert all(r.status == "ok" for r in responses)
+        assert responses[0].served_by == responses[1].served_by == "interp"
+        assert responses[-1].served_by == "memory"
+        assert len(parses) == 1
+        assert service.metrics.get("plan_hits") == 3
+        # Tier-0 answers carry the plan's structural key.
+        assert responses[0].key == responses[1].key
+
     def test_distinct_configs_get_distinct_plans(self, diamond_source):
-        with CompileService(plan_cache=8) as service:
+        with CompileService() as service:
             a = service.handle(CompileRequest(
                 source=diamond_source, args=(4, 5, 1), variant="ssapre"
             ))
@@ -331,31 +377,109 @@ class TestPlanCache:
         assert service.metrics.get("plan_hits") == 0
         assert len(service._plans) == 2
 
-    def test_lru_bound_holds(self, diamond_source, loop_source):
-        with CompileService(plan_cache=1) as service:
-            r1 = CompileRequest(
-                source=diamond_source, args=(4, 5, 1), variant="ssapre"
-            )
-            r2 = CompileRequest(
-                source=loop_source, args=(2, 3, 5), variant="ssapre"
-            )
-            for request in (r1, r2, r1, r2):
-                assert service.handle(request).status == "ok"
-            assert len(service._plans) == 1
-        # Alternating two programs through a one-entry cache: every
-        # lookup after the first for each program evicts the other, so
-        # nothing ever hits.
+    @pytest.mark.parametrize("change", [
+        {"profiling": "probes"},
+        {"train_args": (2, 3, 9)},
+        {"solver": "lospre"},
+    ])
+    def test_profiling_train_args_and_solver_miss(self, loop_source, change):
+        base = dict(
+            source=loop_source, args=(2, 3, 5), variant="mc-ssapre",
+            train_args=(2, 3, 5),
+        )
+        with CompileService() as service:
+            a = service.handle(CompileRequest(**base))
+            b = service.handle(CompileRequest(**{**base, **change}))
+            assert len(service._plans) == 2
+        assert a.status == b.status == "ok"
+        assert a.key != b.key
+        assert a.observable() == b.observable()
         assert service.metrics.get("plan_hits") == 0
 
-    def test_plan_hit_serves_from_memory_tier(self, diamond_source):
-        with CompileService(plan_cache=8) as service:
-            request = CompileRequest(
-                source=diamond_source, args=(4, 5, 1), variant="ssapre"
+    def test_plan_key_covers_every_field_but_the_run_inputs(self, diamond_source):
+        # A new request field must either join the plan key or be a pure
+        # run input like args/max_steps; otherwise two requests that
+        # differ in it would share one plan.
+        base = CompileRequest(source=diamond_source)
+        variants = {
+            "source": diamond_source + "\n",
+            "variant": "ssapre",
+            "train_args": (1, 2, 3),
+            "engine": "reference",
+            "fold_constants": True,
+            "cleanup": True,
+            "rounds": 2,
+            "solver": "lospre",
+            "profiling": "probes",
+        }
+        run_inputs = {"args", "max_steps"}
+        fields = set(CompileRequest.__dataclass_fields__)
+        assert set(variants) == fields - run_inputs
+        for name, value in variants.items():
+            changed = CompileRequest(**{
+                **{f: getattr(base, f) for f in fields}, name: value
+            })
+            assert changed.plan_key() != base.plan_key(), name
+        same = CompileRequest(source=diamond_source, args=(9,), max_steps=7)
+        assert same.plan_key() == base.plan_key()
+
+    def test_lru_bound_holds(self, diamond_source):
+        # PLAN_MEMO_SIZE + 1 distinct plans: the oldest is evicted, so
+        # asking for it again misses, while the newest still hits.
+        bound = server_module.PLAN_MEMO_SIZE
+
+        def request(i):
+            return CompileRequest(
+                source=diamond_source, args=(4, 5, 1), variant="ssapre",
+                train_args=(i,),
             )
-            first = service.handle(request)
-            second = service.handle(request)
-        assert first.served_by == "compile"
-        assert second.served_by == "memory"
+
+        with CompileService(build=_instant_build) as service:
+            for i in range(bound + 1):
+                assert service.handle(request(i)).status == "ok"
+            assert len(service._plans) == bound
+            assert service.metrics.get("plan_hits") == 0
+            service.handle(request(bound))
+            assert service.metrics.get("plan_hits") == 1
+            service.handle(request(0))
+            assert service.metrics.get("plan_hits") == 1
+            assert len(service._plans) == bound
+
+
+def _instant_build(prepared, config, *, key, engine="compiled",
+                   train_args=None, max_steps=2_000_000):
+    """A build that skips optimisation: the memo test needs hundreds
+    of distinct keys, not hundreds of compiles."""
+    return Artifact(
+        key=key, variant=config.variant, engine=engine, func=prepared,
+        program=None, report=None,
+    )
+
+
+class TestHyphenatedWorkloads:
+    """The catalog's hyphen-named programs go through the text protocol:
+    printed, parsed by the service, compiled, served and answered the
+    same as the reference interpreter on the generator's function."""
+
+    @pytest.mark.parametrize("name", MEMORY + COMPOSITE)
+    def test_served_through_handle(self, name):
+        workload = load_workload(name)
+        func = workload.program.func
+        assert "-" in func.name
+        request = CompileRequest(
+            source=format_function(func),
+            args=tuple(workload.ref_args),
+            variant="mc-ssapre",
+            train_args=tuple(workload.train_args),
+        )
+        expected = run_function(func, list(workload.ref_args)).observable()
+        with CompileService() as service:
+            cold = service.handle(request)
+            warm = service.handle(request)
+        assert cold.status == warm.status == "ok", cold.error
+        assert not cold.degraded
+        assert (cold.served_by, warm.served_by) == ("compile", "memory")
+        assert cold.observable() == warm.observable() == expected
 
 
 class TestProbesProfiling:
@@ -396,6 +520,29 @@ class TestProbesProfiling:
                 prepare(build_diamond()), PipelineConfig(variant="ssapre"),
                 key="k", profiling="sometimes",
             )
+
+    def test_profiling_modes_compile_separately(self, loop_source):
+        # A "full" request after a "probes" one must not be served the
+        # sparse artifact: the mode is part of the artifact key.
+        base = dict(
+            source=loop_source, args=(2, 3, 5), variant="mc-ssapre",
+            train_args=(2, 3, 5),
+        )
+        with CompileService() as service:
+            sparse = service.handle(CompileRequest(**base, profiling="probes"))
+            full = service.handle(CompileRequest(**base))
+            again = service.handle(CompileRequest(**base))
+            sparse_artifact, _ = service.store.get(sparse.key)
+            full_artifact, _ = service.store.get(full.key)
+        assert sparse.served_by == full.served_by == "compile"
+        assert again.served_by == "memory"
+        assert sparse.key != full.key
+        assert service.metrics.get("compiles") == 2
+        assert service.metrics.get("profile_reconstructions") == 1
+        assert sparse_artifact.profiling == "probes"
+        assert full_artifact.profiling == "full"
+        assert full_artifact.program.probes is None
+        assert sparse.observable() == full.observable() == again.observable()
 
     def test_served_probes_request_counts_reconstructions(self, loop_source):
         with CompileService() as service:
